@@ -36,14 +36,10 @@ using namespace time_literals;
 
 // ---- scheduler microbench ---------------------------------------------------
 // Steady-state schedule+pop churn on a raw EventQueue at a fixed pending
-// depth — the classic calendar-queue "hold model".  Run for both priority
-// structures so the ladder's claimed win over the heap is measured, not
-// assumed, at every depth the macro workloads visit (fig2 idles near 1k
-// pending; giga peaks past 100k).
-double scheduler_churn_ops_per_sec(EventQueue::Scheduler scheduler,
-                                   std::size_t depth, std::uint64_t ops) {
+// depth — the classic calendar-queue "hold model" — at every depth the macro
+// workloads visit (fig2 idles near 1k pending; giga peaks past 100k).
+double scheduler_churn_ops_per_sec(std::size_t depth, std::uint64_t ops) {
   EventQueue queue;
-  queue.set_scheduler(scheduler);
   Rng rng(0xB16B00B5ULL + depth);
   // Uniform horizons out to 10 sim-seconds: events land across the whole
   // ring, forcing bucket folds and periodic reseeds rather than a hot front.
@@ -64,21 +60,14 @@ double scheduler_churn_ops_per_sec(EventQueue::Scheduler scheduler,
 
 void run_scheduler_microbench(JsonReport& json) {
   std::printf("\n[scheduler churn: pop+push ops/sec by pending depth]\n");
-  std::printf("  %-12s %14s %14s %9s\n", "depth", "heap", "ladder", "speedup");
+  std::printf("  %-12s %14s\n", "depth", "ops/sec");
   for (const std::size_t depth :
        {std::size_t{1'000}, std::size_t{100'000}, std::size_t{1'000'000}}) {
-    const std::uint64_t ops = 1'000'000;
-    const double heap =
-        scheduler_churn_ops_per_sec(EventQueue::Scheduler::kHeap, depth, ops);
-    const double ladder =
-        scheduler_churn_ops_per_sec(EventQueue::Scheduler::kLadder, depth, ops);
-    std::printf("  %-12zu %14.0f %14.0f %8.2fx\n", depth, heap, ladder,
-                ladder / heap);
+    const double ops_per_sec = scheduler_churn_ops_per_sec(depth, 1'000'000);
+    std::printf("  %-12zu %14.0f\n", depth, ops_per_sec);
     char run[32];
     std::snprintf(run, sizeof run, "sched_depth_%zuk", depth / 1'000);
-    json.add(run, "heap_ops_per_sec", heap, "ops/s");
-    json.add(run, "ladder_ops_per_sec", ladder, "ops/s");
-    json.add(run, "ladder_speedup", ladder / heap, "x");
+    json.add(run, "ops_per_sec", ops_per_sec, "ops/s");
   }
 }
 

@@ -25,9 +25,9 @@ void ReplicaRouter::on_message(const Message& message,
     }
     // Cross-partition visibility, same as Matrix: overlap-region lookup.
     if (const OverlapRegionWire* region = index_.find(packet->origin)) {
-      for (NodeId peer_router : region->peer_matrix_nodes) {
+      for (const OverlapPeer& peer : region->peers) {
         ++stats_.neighbour_fanout;
-        send(peer_router, copy);
+        send(peer.matrix_node, copy);
       }
     }
     return;
@@ -141,18 +141,15 @@ ReplicatedDeployment::ReplicatedDeployment(Options options)
     // Expand each peer partition into its M replica routers.
     std::vector<OverlapRegionWire> expanded = base_regions;
     for (auto& region : expanded) {
-      std::vector<ServerId> servers;
-      std::vector<NodeId> nodes;
-      for (std::size_t i = 0; i < region.peer_servers.size(); ++i) {
-        const std::size_t peer_partition =
-            (region.peer_servers[i].value() - 1) / m;
+      std::vector<OverlapPeer> replicas;
+      for (const OverlapPeer& peer : region.peers) {
+        const std::size_t peer_partition = (peer.server.value() - 1) / m;
         for (std::size_t r = 0; r < m; ++r) {
-          servers.push_back(ServerId(peer_partition * m + r + 1));
-          nodes.push_back(router_ptrs_[peer_partition * m + r]->node_id());
+          replicas.push_back({ServerId(peer_partition * m + r + 1),
+                              router_ptrs_[peer_partition * m + r]->node_id()});
         }
       }
-      region.peer_servers = std::move(servers);
-      region.peer_matrix_nodes = std::move(nodes);
+      region.peers = std::move(replicas);
     }
 
     for (std::size_t r = 0; r < m; ++r) {

@@ -275,13 +275,6 @@ struct EngineConfig {
   /// wall-clock on multi-core hosts.  MATRIX_SHARD_THREADS overrides
   /// ("0"/"off" forces sequential, "1"/"on" forces threads).
   bool threads = true;
-  /// Event-queue priority structure: the two-tier ladder/calendar scheduler
-  /// (O(1) amortized schedule/pop) vs the reference 4-ary heap.  Pop order
-  /// is provably identical, so every golden trace hash is byte-identical
-  /// either way (tests/scheduler_test.cpp); the knob exists for A/B
-  /// benchmarking and as a fallback.  MATRIX_EVENT_SCHEDULER overrides
-  /// ("heap"/"0" forces the heap, "ladder"/"1" forces the ladder).
-  bool ladder_scheduler = true;
   /// Shard load rebalancing: when busiest/mean per-shard executed-event
   /// ratio for an epoch exceeds this, one colocated matrix+game node group
   /// migrates from the busiest shard to the idlest at a window barrier.

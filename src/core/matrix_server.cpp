@@ -37,17 +37,8 @@ const OverlapRegionWire* MatrixServer::lookup(Vec2 point,
   return tables_[rc].find(point);
 }
 
-void MatrixServer::on_message(const Message& message, const Envelope& env) {
-  if (std::get_if<TaggedPacket>(&message) != nullptr) {
-    // Wire TaggedPackets are normally intercepted by on_frame before the
-    // full decode; a frame reaching here re-parses so routing stays on the
-    // single view-based implementation.
-    if (const auto view = parse_tagged_packet_frame(env.payload)) {
-      route_tagged_frame(*view, env);
-    }
-  } else if (const auto* report = std::get_if<LoadReport>(&message)) {
-    handle_load_report(*report);
-  } else if (const auto* grant = std::get_if<PoolGrant>(&message)) {
+void MatrixServer::on_message(const Message& message, const Envelope&) {
+  if (const auto* grant = std::get_if<PoolGrant>(&message)) {
     handle_pool_grant(*grant);
   } else if (std::holds_alternative<PoolDeny>(message)) {
     ++stats_.split_denied_no_server;
@@ -119,16 +110,6 @@ void MatrixServer::on_message(const Message& message, const Envelope& env) {
     const std::uint32_t seq = next_lookup_seq_++;
     pending_owner_queries_[seq] = *query;
     send(wiring_.mc_node, PointLookup{query->point, seq});
-  } else if (const auto* st = std::get_if<StateTransfer>(&message)) {
-    // Relay leg of the game→Matrix→game state path (paper §3.2.2: state is
-    // forwarded "via Matrix").
-    send(st->to_game, *st);
-  } else if (const auto* cst = std::get_if<ClientStateTransfer>(&message)) {
-    send(cst->to_game, *cst);
-  } else if (const auto* handoff = std::get_if<QueueHandoff>(&message)) {
-    // Relay leg of the game→Matrix→game surge-queue handoff (split/merge):
-    // parked joins re-park at the server that now owns their region.
-    send(handoff->to_game, *handoff);
   } else if (const auto* announce = std::get_if<McAnnounce>(&message)) {
     // Coordinator fail-over: adopt the new MC and re-register so it can
     // rebuild the partition map from our (authoritative) local range.  The
@@ -164,32 +145,28 @@ void MatrixServer::on_message(const Message& message, const Envelope& env) {
 bool MatrixServer::on_frame(const Envelope& env) {
   if (env.payload.empty()) return false;
   switch (env.payload[0]) {
-    case kTaggedPacketWireType: {
+    case wire_type<TaggedPacket>: {
       const auto view = parse_tagged_packet_frame(env.payload);
       if (!view) return false;  // malformed: the generic path counts it
       route_tagged_frame(*view, env);
       return true;
     }
-    case kLoadReportWireType: {
+    case wire_type<LoadReport>: {
       // Per-interval report from every game server: all fixed-width fields,
       // so skip the Message variant on the floor's steadiest control stream.
-      const auto view = parse_load_report_frame(env.payload);
-      if (!view) return false;
-      LoadReport report;
-      report.client_count = view->client_count;
-      report.queue_length = view->queue_length;
-      report.msgs_per_sec = view->msgs_per_sec;
-      report.median_position = view->median_position;
-      report.waiting_count = view->waiting_count;
-      handle_load_report(report);
+      const auto report = parse_load_report_frame(env.payload);
+      if (!report) return false;
+      handle_load_report(*report);
       return true;
     }
-    case kStateTransferWireType:
-    case kClientStateTransferWireType:
-    case kQueueHandoffWireType: {
-      // Relay legs (paper §3.2.2: state is forwarded "via Matrix"): only the
-      // destination field is read; the frame — shed blobs included — is
-      // forwarded verbatim, never decoded or copied through a struct.
+    case wire_type<StateTransfer>:
+    case wire_type<ClientStateTransfer>:
+    case wire_type<QueueHandoff>: {
+      // Relay legs (paper §3.2.2: state is forwarded "via Matrix", and
+      // parked surge-queue joins re-park at the server that now owns their
+      // region): only the destination field is read; the frame — shed blobs
+      // included — is forwarded verbatim, never decoded or copied through a
+      // struct.
       const auto relay = parse_relay_frame(env.payload);
       if (!relay) return false;
       send_raw(relay->to_game, env.payload);
@@ -254,9 +231,9 @@ void MatrixServer::route_tagged_frame(const TaggedPacketView& view,
 
   if (const OverlapRegionWire* region =
           lookup(view.origin, view.radius_class)) {
-    for (NodeId peer : region->peer_matrix_nodes) {
+    for (const OverlapPeer& peer : region->peers) {
       ++stats_.packets_fanned_out;
-      send_peer_frame(peer, env.payload, view.peer_flag_offset);
+      send_peer_frame(peer.matrix_node, env.payload, view.peer_flag_offset);
     }
   }
 

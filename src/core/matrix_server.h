@@ -196,9 +196,12 @@ class MatrixServer : public ProtocolNode {
 
  protected:
   void on_message(const Message& message, const Envelope& envelope) override;
-  /// Frame fast path: TaggedPackets — the routing hot path — are handled
-  /// from a zero-copy partial parse; peer forwards resend the raw frame
-  /// with the peer flag flipped in place instead of decode → re-encode.
+  /// Frame fast path, and the only handler of TaggedPacket, LoadReport and
+  /// the relay legs: TaggedPackets — the routing hot path — are routed from
+  /// a zero-copy view, and peer forwards resend the raw frame with the peer
+  /// flag flipped in place instead of decode → re-encode.  A frame the view
+  /// rejects is malformed for decode_message too, so on_message never sees
+  /// these types.
   bool on_frame(const Envelope& envelope) override;
 
  private:

@@ -46,11 +46,10 @@ std::vector<OverlapRegionWire> build_overlap_regions(
     if (cell.payloads.empty()) continue;  // interior: nothing to ship
     OverlapRegionWire region;
     region.rect = cell.rect;
-    region.peer_servers.reserve(cell.payloads.size());
-    region.peer_matrix_nodes.reserve(cell.payloads.size());
+    region.peers.reserve(cell.payloads.size());
     for (std::uint32_t payload : cell.payloads) {
-      region.peer_servers.push_back(peers[payload]->server);
-      region.peer_matrix_nodes.push_back(peers[payload]->matrix_node);
+      region.peers.push_back(
+          {peers[payload]->server, peers[payload]->matrix_node});
     }
     out.push_back(std::move(region));
   }

@@ -25,7 +25,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -34,6 +36,7 @@
 #include "geometry/vec2.h"
 #include "util/codec.h"
 #include "util/ids.h"
+#include "util/payload_bytes.h"
 #include "util/sim_time.h"
 
 namespace matrix {
@@ -46,7 +49,13 @@ namespace matrix {
 /// client packet with the world coordinates of the packet's origin (and
 /// destination for non-proximal interactions); Matrix routes on the tags and
 /// never parses `payload` — that is the layering the paper's API promises.
-struct TaggedPacket {
+///
+/// The three payload-carrying messages (this one, ClientAction and
+/// ServerUpdate) are templates over the payload's type: PayloadBytes in the
+/// Message itself, a span into the received frame in the zero-copy views
+/// (see "Zero-copy frame views" below).  One field description serves both.
+template <typename Payload>
+struct BasicTaggedPacket {
   ClientId client;            ///< globally-unique originating player
   EntityId entity;            ///< acting entity
   Vec2 origin;                ///< where in the world the event happened
@@ -56,8 +65,15 @@ struct TaggedPacket {
   std::uint32_t seq = 0;          ///< client action sequence (latency pairing)
   SimTime client_sent_at{};       ///< stamped by client; for latency metrics
   bool peer_forwarded = false;    ///< set on matrix→matrix relay (no re-fwd)
-  PayloadBytes payload;           ///< game-specific body (opaque)
+  Payload payload;                ///< game-specific body (opaque)
+
+  static void fields(auto& m, auto&& f) {
+    f(m.client, m.entity, m.origin, m.target, m.radius_class, m.kind, m.seq,
+      m.client_sent_at, m.peer_forwarded, m.payload);
+  }
+  bool operator==(const BasicTaggedPacket&) const = default;
 };
+using TaggedPacket = BasicTaggedPacket<PayloadBytes>;
 
 // ---------------------------------------------------------------------------
 // Client ↔ game server
@@ -75,6 +91,11 @@ struct ClientHello {
   /// 0 = NORMAL, 1 = VIP.  Resumes outrank both and are flagged by `resume`,
   /// not here.  Ignored entirely while the waiting room is disabled.
   std::uint8_t priority = 0;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.client, m.position, m.resume, m.redirect_seq, m.priority);
+  }
+  bool operator==(const ClientHello&) const = default;
 };
 
 struct Welcome {
@@ -82,29 +103,48 @@ struct Welcome {
   EntityId avatar;
   Rect authority;                  ///< the server's current map range
   std::uint32_t redirect_seq = 0;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.client, m.avatar, m.authority, m.redirect_seq);
+  }
+  bool operator==(const Welcome&) const = default;
 };
 
 /// A player input: move / fire / interact, stamped for latency measurement.
-struct ClientAction {
+template <typename Payload>
+struct BasicClientAction {
   ClientId client;
   std::uint8_t kind = 0;
   Vec2 position;                    ///< client's believed position
   std::optional<Vec2> target;       ///< e.g. shot aim point, teleport target
   std::uint32_t seq = 0;
   SimTime sent_at{};
-  PayloadBytes payload;
+  Payload payload;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.client, m.kind, m.position, m.target, m.seq, m.sent_at, m.payload);
+  }
+  bool operator==(const BasicClientAction&) const = default;
 };
+using ClientAction = BasicClientAction<PayloadBytes>;
 
 /// Game server → client state delta.  `ack_seq` is nonzero when this update
 /// is the direct reaction to that client's own action (self-latency); the
 /// embedded origin timestamp measures observer latency at other clients.
-struct ServerUpdate {
+template <typename Payload>
+struct BasicServerUpdate {
   std::uint8_t kind = 0;
   Vec2 position;
   std::uint32_t ack_seq = 0;
   SimTime origin_sent_at{};
-  PayloadBytes payload;
+  Payload payload;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.kind, m.position, m.ack_seq, m.origin_sent_at, m.payload);
+  }
+  bool operator==(const BasicServerUpdate&) const = default;
 };
+using ServerUpdate = BasicServerUpdate<PayloadBytes>;
 
 /// Orders a client to reconnect to a different game server (paper §3.2.1:
 /// "the client is informed of these switches by its current game server").
@@ -112,10 +152,20 @@ struct Redirect {
   NodeId new_game_node;
   ServerId new_server;
   std::uint32_t redirect_seq = 0;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.new_game_node, m.new_server, m.redirect_seq);
+  }
+  bool operator==(const Redirect&) const = default;
 };
 
 struct ClientBye {
   ClientId client;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.client);
+  }
+  bool operator==(const ClientBye&) const = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -133,6 +183,12 @@ struct LoadReport {
   /// Joins parked in the surge queue (src/control/surge_queue.h); 0 while
   /// the waiting room is disabled.  Surfaced in MatrixServer::Stats.
   std::uint32_t waiting_count = 0;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.client_count, m.queue_length, m.msgs_per_sec, m.median_position,
+      m.waiting_count);
+  }
+  bool operator==(const LoadReport&) const = default;
 };
 
 /// Matrix server → game server: your authoritative range changed.  When
@@ -145,6 +201,12 @@ struct MapRange {
   ServerId shed_to_server;
   bool reclaim = false;             ///< true ⇒ shedding everything to parent
   std::uint64_t topology_epoch = 0;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.new_range, m.shed_range, m.shed_to_game, m.shed_to_server, m.reclaim,
+      m.topology_epoch);
+  }
+  bool operator==(const MapRange&) const = default;
 };
 
 /// Game server → Matrix server: the shed ordered by MapRange has finished
@@ -152,6 +214,11 @@ struct MapRange {
 struct ShedDone {
   std::uint64_t topology_epoch = 0;
   std::uint32_t clients_redirected = 0;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.topology_epoch, m.clients_redirected);
+  }
+  bool operator==(const ShedDone&) const = default;
 };
 
 /// Game server → Matrix server: "which game server owns this point?"
@@ -162,6 +229,11 @@ struct OwnerQuery {
   Vec2 point;
   ClientId client;
   std::uint32_t seq = 0;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.point, m.client, m.seq);
+  }
+  bool operator==(const OwnerQuery&) const = default;
 };
 
 /// Matrix server → game server: answer to OwnerQuery.
@@ -171,6 +243,11 @@ struct OwnerReply {
   bool found = false;
   ServerId server;
   NodeId game_node;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.client, m.seq, m.found, m.server, m.game_node);
+  }
+  bool operator==(const OwnerReply&) const = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -189,6 +266,12 @@ struct Adopt {
   std::vector<double> extra_radii;  ///< exceptional radius classes, in order
   std::vector<std::string> content_keys;
   std::uint64_t topology_epoch = 0;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.parent, m.parent_matrix, m.parent_game, m.range, m.visibility_radius,
+      m.extra_radii, m.content_keys, m.topology_epoch);
+  }
+  bool operator==(const Adopt&) const = default;
 };
 
 /// Child → parent heartbeat enabling the parent's reclaim decision.  A
@@ -198,6 +281,11 @@ struct PeerLoad {
   ServerId server;
   std::uint32_t client_count = 0;
   std::uint32_t child_count = 0;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.server, m.client_count, m.child_count);
+  }
+  bool operator==(const PeerLoad&) const = default;
 };
 
 /// Parent → child: begin reclamation (paper §3.2.3).  `topology_epoch` is
@@ -206,6 +294,11 @@ struct PeerLoad {
 /// never reclaim a server that has since been re-granted to someone else.
 struct ReclaimRequest {
   std::uint64_t topology_epoch = 0;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.topology_epoch);
+  }
+  bool operator==(const ReclaimRequest&) const = default;
 };
 
 /// Child → parent: reclamation refused (the child is mid-split, already
@@ -216,6 +309,11 @@ struct ReclaimRequest {
 struct ReclaimDecline {
   ServerId child;
   std::uint64_t topology_epoch = 0;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.child, m.topology_epoch);
+  }
+  bool operator==(const ReclaimDecline&) const = default;
 };
 
 /// Child → parent: reclamation finished; `range` returns to the parent.
@@ -223,6 +321,11 @@ struct ReclaimDone {
   ServerId child;
   Rect range;
   std::uint64_t topology_epoch = 0;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.child, m.range, m.topology_epoch);
+  }
+  bool operator==(const ReclaimDone&) const = default;
 };
 
 /// Bulk game state (map objects) relayed game→matrix→matrix→game during
@@ -233,6 +336,11 @@ struct StateTransfer {
   Rect range;
   std::uint32_t object_count = 0;
   std::vector<std::uint8_t> blob;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.from_server, m.to_game, m.range, m.object_count, m.blob);
+  }
+  bool operator==(const StateTransfer&) const = default;
 };
 
 /// One switching client's avatar state, relayed server→server ahead of the
@@ -242,6 +350,11 @@ struct ClientStateTransfer {
   EntityId entity;
   NodeId to_game;
   std::vector<std::uint8_t> blob;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.client, m.entity, m.to_game, m.blob);
+  }
+  bool operator==(const ClientStateTransfer&) const = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -256,18 +369,39 @@ struct ServerRegister {
   NodeId game_node;
   Rect range;
   std::vector<double> radii;  ///< game default first, then exceptional radii
+
+  static void fields(auto& m, auto&& f) {
+    f(m.server, m.matrix_node, m.game_node, m.range, m.radii);
+  }
+  bool operator==(const ServerRegister&) const = default;
 };
 
 struct ServerUnregister {
   ServerId server;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.server);
+  }
+  bool operator==(const ServerUnregister&) const = default;
+};
+
+/// One member of an overlap region's consistency set.
+struct OverlapPeer {
+  ServerId server;
+  NodeId matrix_node;
+
+  static void fields(auto& m, auto&& f) { f(m.server, m.matrix_node); }
+  bool operator==(const OverlapPeer&) const = default;
 };
 
 /// One overlap region as shipped to a Matrix server: every point in `rect`
 /// has consistency set = `peers` (paper Fig. 1a).
 struct OverlapRegionWire {
   Rect rect;
-  std::vector<ServerId> peer_servers;
-  std::vector<NodeId> peer_matrix_nodes;  ///< parallel to peer_servers
+  std::vector<OverlapPeer> peers;
+
+  static void fields(auto& m, auto&& f) { f(m.rect, m.peers); }
+  bool operator==(const OverlapRegionWire&) const = default;
 };
 
 /// MC → Matrix server: your overlap table for one radius class.
@@ -278,6 +412,11 @@ struct OverlapTableMsg {
   double radius = 0.0;
   std::uint64_t version = 0;  ///< MC recompute generation
   std::vector<OverlapRegionWire> regions;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.server, m.partition, m.radius_class, m.radius, m.version, m.regions);
+  }
+  bool operator==(const OverlapTableMsg&) const = default;
 };
 
 /// Matrix server → MC: who owns this point?  Used only for the rare
@@ -285,6 +424,11 @@ struct OverlapTableMsg {
 struct PointLookup {
   Vec2 point;
   std::uint32_t lookup_seq = 0;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.point, m.lookup_seq);
+  }
+  bool operator==(const PointLookup&) const = default;
 };
 
 struct PointOwner {
@@ -293,6 +437,11 @@ struct PointOwner {
   ServerId server;
   NodeId matrix_node;
   NodeId game_node;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.lookup_seq, m.found, m.server, m.matrix_node, m.game_node);
+  }
+  bool operator==(const PointOwner&) const = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -309,20 +458,38 @@ struct PointOwner {
 struct PoolAcquire {
   ServerId requester;
   double need = 0.0;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.requester, m.need);
+  }
+  bool operator==(const PoolAcquire&) const = default;
 };
 
 struct PoolGrant {
   ServerId server;
   NodeId matrix_node;
   NodeId game_node;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.server, m.matrix_node, m.game_node);
+  }
+  bool operator==(const PoolGrant&) const = default;
 };
 
-struct PoolDeny {};
+struct PoolDeny {
+  static void fields(auto&, auto&& f) { f(); }
+  bool operator==(const PoolDeny&) const = default;
+};
 
 struct PoolRelease {
   ServerId server;
   NodeId matrix_node;
   NodeId game_node;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.server, m.matrix_node, m.game_node);
+  }
+  bool operator==(const PoolRelease&) const = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -334,6 +501,11 @@ struct PoolRelease {
 struct JoinDeny {
   ClientId client;
   SimTime retry_after{};
+
+  static void fields(auto& m, auto&& f) {
+    f(m.client, m.retry_after);
+  }
+  bool operator==(const JoinDeny&) const = default;
 };
 
 /// Game server → client: join not admitted right now (admission SOFT and
@@ -342,6 +514,11 @@ struct JoinDeny {
 struct JoinDefer {
   ClientId client;
   SimTime retry_after{};
+
+  static void fields(auto& m, auto&& f) {
+    f(m.client, m.retry_after);
+  }
+  bool operator==(const JoinDefer&) const = default;
 };
 
 /// Matrix server → its game server: the admission state changed.  `state`
@@ -351,6 +528,11 @@ struct JoinDefer {
 struct AdmissionUpdate {
   std::uint8_t state = 0;
   std::uint64_t seq = 0;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.state, m.seq);
+  }
+  bool operator==(const AdmissionUpdate&) const = default;
 };
 
 /// Game server → waiting client: you are parked in the surge queue
@@ -365,12 +547,22 @@ struct QueueUpdate {
   std::uint32_t position = 0;
   std::uint32_t depth = 0;
   SimTime eta{};
+
+  static void fields(auto& m, auto&& f) {
+    f(m.client, m.position, m.depth, m.eta);
+  }
+  bool operator==(const QueueUpdate&) const = default;
 };
 
 /// Resource pool → MC: occupancy changed (grant/release/seed).
 struct PoolStatus {
   std::uint32_t idle = 0;
   std::uint32_t total = 0;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.idle, m.total);
+  }
+  bool operator==(const PoolStatus&) const = default;
 };
 
 /// Matrix server → MC: per-server load digest feeding coordinator-led
@@ -384,6 +576,12 @@ struct LoadDigest {
   std::uint32_t queue_length = 0;
   std::uint32_t waiting_count = 0;  ///< surge-queue depth
   std::uint8_t admission_state = 0; ///< local AdmissionState
+
+  static void fields(auto& m, auto&& f) {
+    f(m.server, m.client_count, m.queue_length, m.waiting_count,
+      m.admission_state);
+  }
+  bool operator==(const LoadDigest&) const = default;
 };
 
 /// MC → Matrix server (relayed matrix → game): coordinator-led global
@@ -401,6 +599,11 @@ struct AdmissionDirective {
   double token_rate = 0.0;          ///< joins/s granted to this server
   double pressure = 0.0;            ///< deployment pressure score (observability)
   std::uint32_t waiting_total = 0;  ///< deployment-wide parked joins
+
+  static void fields(auto& m, auto&& f) {
+    f(m.seq, m.floor, m.active, m.token_rate, m.pressure, m.waiting_total);
+  }
+  bool operator==(const AdmissionDirective&) const = default;
 };
 
 /// One parked join handed across servers (split/merge): enough to re-park
@@ -411,6 +614,11 @@ struct QueueHandoffEntry {
   Vec2 position;
   std::uint8_t cls = 0;   ///< original PriorityClass
   SimTime enqueued_at{};  ///< original park time (age keeps accruing)
+
+  static void fields(auto& m, auto&& f) {
+    f(m.client, m.client_node, m.position, m.cls, m.enqueued_at);
+  }
+  bool operator==(const QueueHandoffEntry&) const = default;
 };
 
 /// Game server → Matrix (relay) → game server: surge-queue entries whose
@@ -421,6 +629,11 @@ struct QueueHandoff {
   ServerId from_server;
   NodeId to_game;
   std::vector<QueueHandoffEntry> entries;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.from_server, m.to_game, m.entries);
+  }
+  bool operator==(const QueueHandoff&) const = default;
 };
 
 /// MC → every Matrix server: deployment-wide pool pressure, rebroadcast
@@ -429,6 +642,11 @@ struct QueueHandoff {
 struct PoolPressure {
   std::uint32_t idle = 0;
   std::uint32_t total = 0;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.idle, m.total);
+  }
+  bool operator==(const PoolPressure&) const = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -444,6 +662,11 @@ struct PoolPressure {
 struct McAnnounce {
   NodeId mc_node;
   std::uint64_t generation = 0;  ///< monotonically increasing MC incarnation
+
+  static void fields(auto& m, auto&& f) {
+    f(m.mc_node, m.generation);
+  }
+  bool operator==(const McAnnounce&) const = default;
 };
 
 /// Periodic coordinator liveness beacon (control-plane failsafe,
@@ -458,33 +681,81 @@ struct McHeartbeat {
   NodeId mc_node;
   std::uint64_t generation = 0;
   std::uint64_t seq = 0;
+
+  static void fields(auto& m, auto&& f) {
+    f(m.mc_node, m.generation, m.seq);
+  }
+  bool operator==(const McHeartbeat&) const = default;
 };
 
 // ---------------------------------------------------------------------------
 // Envelope-level message
 // ---------------------------------------------------------------------------
+//
+// Each struct above describes its wire layout once, in `fields`: its fields
+// in wire order, handed to a visitor.  protocol.cpp derives everything else
+// from that one description — encoder, decoder, exact encoded size, the
+// zero-copy views and the relay's destination prefix — and `operator==`
+// compares the same fields.  The list below is the only list of message
+// types: it generates the Message variant and message_name, and a message's
+// wire type byte is its position in the list + 1 (0 is never a valid type
+// byte).  Order is part of the protocol; append only.
+//
+// Adding a message: declare its struct above; give it `fields` and a
+// defaulted operator==; append it to MATRIX_MESSAGE_TYPES.
 
-using Message =
-    std::variant<TaggedPacket, ClientHello, Welcome, ClientAction,
-                 ServerUpdate, Redirect, ClientBye, LoadReport, MapRange,
-                 ShedDone, OwnerQuery, OwnerReply, Adopt, PeerLoad,
-                 ReclaimRequest, ReclaimDecline, ReclaimDone, StateTransfer,
-                 ClientStateTransfer, ServerRegister, ServerUnregister,
-                 OverlapTableMsg, PointLookup, PointOwner, PoolAcquire,
-                 PoolGrant, PoolDeny, PoolRelease, McAnnounce, JoinDeny,
-                 JoinDefer, AdmissionUpdate, PoolStatus, PoolPressure,
-                 QueueUpdate, LoadDigest, AdmissionDirective, QueueHandoff,
-                 McHeartbeat>;
+#define MATRIX_MESSAGE_TYPES(X)                                              \
+  X(TaggedPacket) X(ClientHello) X(Welcome) X(ClientAction) X(ServerUpdate)  \
+  X(Redirect) X(ClientBye) X(LoadReport) X(MapRange) X(ShedDone)             \
+  X(OwnerQuery) X(OwnerReply) X(Adopt) X(PeerLoad) X(ReclaimRequest)         \
+  X(ReclaimDecline) X(ReclaimDone) X(StateTransfer) X(ClientStateTransfer)   \
+  X(ServerRegister) X(ServerUnregister) X(OverlapTableMsg) X(PointLookup)    \
+  X(PointOwner) X(PoolAcquire) X(PoolGrant) X(PoolDeny) X(PoolRelease)       \
+  X(McAnnounce) X(JoinDeny) X(JoinDefer) X(AdmissionUpdate) X(PoolStatus)    \
+  X(PoolPressure) X(QueueUpdate) X(LoadDigest) X(AdmissionDirective)         \
+  X(QueueHandoff) X(McHeartbeat)
+
+namespace detail {
+template <typename Unused, typename... Alternatives>
+struct MessageVariant {
+  using type = std::variant<Alternatives...>;
+};
+
+template <typename T, typename... Alternatives>
+constexpr std::uint8_t wire_type_of(const std::variant<Alternatives...>*) {
+  std::uint8_t type = 1;
+  for (const bool same : {std::is_same_v<T, Alternatives>...}) {
+    if (same) return type;
+    ++type;
+  }
+  return 0;
+}
+}  // namespace detail
+
+#define MATRIX_MESSAGE_ALTERNATIVE(T) , T
+using Message = detail::MessageVariant<
+    void MATRIX_MESSAGE_TYPES(MATRIX_MESSAGE_ALTERNATIVE)>::type;
+#undef MATRIX_MESSAGE_ALTERNATIVE
+static_assert(std::variant_size_v<Message> < 256, "type byte overflow");
+
+/// Wire type byte of the Message alternative `T`: its variant index + 1.
+template <typename T>
+inline constexpr std::uint8_t wire_type = [] {
+  constexpr std::uint8_t type =
+      detail::wire_type_of<T>(static_cast<const Message*>(nullptr));
+  static_assert(type != 0, "wire_type: not a Message alternative");
+  return type;
+}();
 
 /// Serializes `message` (1 type byte + body).
 [[nodiscard]] std::vector<std::uint8_t> encode_message(const Message& message);
 
-/// Serializes into `writer`, reserving a per-type size hint up front.  Pair
-/// the writer with a recycled buffer (Network::rent_buffer) and steady-state
-/// encoding performs no allocation at all.
+/// Serializes into `writer`, reserving the exact encoded size up front.
+/// Pair the writer with a recycled buffer (Network::rent_buffer) and
+/// steady-state encoding performs no allocation at all.
 void encode_message_into(ByteWriter& writer, const Message& message);
 
-/// Serializes a single message body (type byte + body, hint-reserved)
+/// Serializes a single message body (type byte + body, size-reserved)
 /// without ever constructing the Message variant — the typed fast path
 /// behind ProtocolNode's and MatrixPort's sends, which otherwise would copy
 /// the body (payload included) into a temporary variant per send.
@@ -492,88 +763,38 @@ void encode_message_into(ByteWriter& writer, const Message& message);
 template <typename Body>
 void encode_one_into(ByteWriter& writer, const Body& body);
 
+/// Parses bytes back into a Message; std::nullopt on malformed input.
+[[nodiscard]] std::optional<Message> decode_message(
+    std::span<const std::uint8_t> bytes);
+
+/// Short human-readable name of the message alternative, for logs/metrics.
+[[nodiscard]] const char* message_name(const Message& message);
+
 // ---------------------------------------------------------------------------
-// Zero-copy frame fast paths (the engine hot path)
+// Zero-copy frame views (the engine hot path)
 // ---------------------------------------------------------------------------
 //
-// The three messages that dominate steady-state traffic — TaggedPacket,
-// ClientAction, ServerUpdate — can be routed/applied from a partial decode
-// that never copies the opaque payload and never materializes the Message
-// variant.  `ProtocolNode::on_frame` overrides use these views; parse_*
-// returns nullopt for any other frame type or a malformed body, sending the
-// message down the ordinary decode path.  Each view's decoded fields are
-// bit-identical to what decode_message would produce.
+// The frames that dominate steady-state traffic are handled by
+// `ProtocolNode::on_frame` overrides from a decode that skips the Message
+// variant.  Each parse_*_frame reads its type's one field description, the
+// same one decode_message reads, so it accepts exactly the frames
+// decode_message accepts for that type and yields the same field values;
+// it returns nullopt for any other frame type or a malformed body.  A
+// payload-carrying message decodes into its span instantiation, whose
+// payload points into the frame instead of being copied.
 
-/// Wire type bytes of the fast-path frames.  Values are pinned against the
-/// private MsgType enum by static_asserts in protocol.cpp.
-inline constexpr std::uint8_t kTaggedPacketWireType = 1;
-inline constexpr std::uint8_t kClientActionWireType = 4;
-inline constexpr std::uint8_t kServerUpdateWireType = 5;
-inline constexpr std::uint8_t kLoadReportWireType = 8;
-inline constexpr std::uint8_t kStateTransferWireType = 18;
-inline constexpr std::uint8_t kClientStateTransferWireType = 19;
-inline constexpr std::uint8_t kQueueUpdateWireType = 35;
-inline constexpr std::uint8_t kQueueHandoffWireType = 38;
+using ClientActionView = BasicClientAction<std::span<const std::uint8_t>>;
+using ServerUpdateView = BasicServerUpdate<std::span<const std::uint8_t>>;
 
-struct TaggedPacketView {
-  ClientId client;
-  EntityId entity;
-  Vec2 origin;
-  std::optional<Vec2> target;
-  std::uint8_t radius_class = 0;
-  std::uint8_t kind = 0;
-  std::uint32_t seq = 0;
-  SimTime client_sent_at{};
-  bool peer_forwarded = false;
+struct TaggedPacketView : BasicTaggedPacket<std::span<const std::uint8_t>> {
   /// Byte offset of the peer_forwarded flag within the frame.  A relay that
   /// forwards the packet flag-flipped copies the frame and writes one byte —
   /// byte-identical to re-encoding the mutated struct.
   std::size_t peer_flag_offset = 0;
-  std::span<const std::uint8_t> payload;  ///< view into the frame
 
   /// Full TaggedPacket (payload copied) for the rare paths that must hold
   /// the packet across events (pending MC lookups).
   [[nodiscard]] TaggedPacket materialize() const;
-};
-
-struct ClientActionView {
-  ClientId client;
-  std::uint8_t kind = 0;
-  Vec2 position;
-  std::optional<Vec2> target;
-  std::uint32_t seq = 0;
-  SimTime sent_at{};
-  std::span<const std::uint8_t> payload;  ///< view into the frame
-};
-
-struct ServerUpdateView {
-  std::uint8_t kind = 0;
-  Vec2 position;
-  std::uint32_t ack_seq = 0;
-  SimTime origin_sent_at{};
-  std::span<const std::uint8_t> payload;  ///< view into the frame
-};
-
-/// LoadReport decoded without touching the Message variant.  Every game
-/// server emits one per report interval, so at 100k-client scale the matrix
-/// tier decodes thousands per sim-second — all fixed-width fields, no reason
-/// to pay the 39-alternative variant construction for any of them.
-struct LoadReportView {
-  std::uint32_t client_count = 0;
-  std::uint32_t queue_length = 0;
-  double msgs_per_sec = 0.0;
-  Vec2 median_position;
-  std::uint32_t waiting_count = 0;
-};
-
-/// QueueUpdate decoded without the Message variant.  Surge scenarios park
-/// tens of thousands of clients, each pinged on every drain tick — the
-/// second-hottest client-bound frame after ServerUpdate.
-struct QueueUpdateView {
-  ClientId client;
-  std::uint32_t position = 0;
-  std::uint32_t depth = 0;
-  SimTime eta{};
 };
 
 /// The matrix leg of a game→matrix→game relay (StateTransfer,
@@ -593,18 +814,13 @@ struct RelayFrameView {
     std::span<const std::uint8_t> frame);
 [[nodiscard]] std::optional<ServerUpdateView> parse_server_update_frame(
     std::span<const std::uint8_t> frame);
-[[nodiscard]] std::optional<LoadReportView> parse_load_report_frame(
+/// LoadReport and QueueUpdate carry no payload: their view is the message.
+[[nodiscard]] std::optional<LoadReport> parse_load_report_frame(
     std::span<const std::uint8_t> frame);
-[[nodiscard]] std::optional<QueueUpdateView> parse_queue_update_frame(
+[[nodiscard]] std::optional<QueueUpdate> parse_queue_update_frame(
     std::span<const std::uint8_t> frame);
+/// Reads a relay frame's fields up to `to_game` and nothing after it.
 [[nodiscard]] std::optional<RelayFrameView> parse_relay_frame(
     std::span<const std::uint8_t> frame);
-
-/// Parses bytes back into a Message; std::nullopt on malformed input.
-[[nodiscard]] std::optional<Message> decode_message(
-    std::span<const std::uint8_t> bytes);
-
-/// Short human-readable name of the message alternative, for logs/metrics.
-[[nodiscard]] const char* message_name(const Message& message);
 
 }  // namespace matrix

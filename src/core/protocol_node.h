@@ -35,11 +35,11 @@ class ProtocolNode : public Node {
   virtual void on_message(const Message& message, const Envelope& envelope) = 0;
 
   /// Frame fast path, tried before the full decode: a subclass that can
-  /// handle this frame from a zero-copy partial parse (protocol.h's
-  /// parse_*_frame views) does so and returns true; returning false sends
-  /// the message down the ordinary decode → on_message path.  An override
-  /// MUST be behaviorally identical to its on_message handling — the
-  /// golden-trace determinism tests pin exactly that.
+  /// handle this frame from a zero-copy view (protocol.h's parse_*_frame)
+  /// does so and returns true; returning false sends the message down the
+  /// ordinary decode → on_message path.  A view accepts exactly the frames
+  /// decode_message accepts for its type, so a type handled here needs no
+  /// on_message branch: a frame the view rejects is counted as malformed.
   virtual bool on_frame(const Envelope& envelope) {
     (void)envelope;
     return false;

@@ -110,9 +110,11 @@ class BotClient : public ProtocolNode {
 
  protected:
   void on_message(const Message& message, const Envelope& envelope) override;
-  /// Frame fast path: ServerUpdates — the one message a bot receives at
-  /// tick rate — are handled from a zero-copy partial parse (only ack_seq
-  /// and the origin timestamp matter; the digest payload is opaque).
+  /// Frame fast path, and the only handler of ServerUpdate and QueueUpdate:
+  /// ServerUpdates — the one message a bot receives at tick rate — are
+  /// handled from a zero-copy view (only ack_seq and the origin timestamp
+  /// matter; the digest payload is opaque).  A frame the view rejects is
+  /// malformed for decode_message too, so on_message never sees either.
   bool on_frame(const Envelope& envelope) override;
 
  private:

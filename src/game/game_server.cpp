@@ -66,7 +66,6 @@ std::string GameServer::name() const {
 
 void GameServer::wire(NodeId matrix_node) {
   port_ = std::make_unique<MatrixPort>(network(), node_id(), matrix_node);
-  port_->on_packet([this](const TaggedPacket& p) { handle_remote_packet(p); });
   port_->on_map_range([this](const MapRange& r) { handle_map_range(r); });
   port_->on_state_transfer(
       [this](const StateTransfer& t) { handle_state_transfer(t); });
@@ -534,24 +533,19 @@ void GameServer::spawn_map_objects(std::size_t count, const Rect& area,
 bool GameServer::on_frame(const Envelope& envelope) {
   const std::vector<std::uint8_t>& frame = envelope.payload;
   if (frame.empty()) return false;
-  if (frame[0] == kTaggedPacketWireType) {
-    // Mirrors on_message → try_dispatch → handle_remote_packet: an unwired
-    // server has no port to consume the packet, so the generic path (which
-    // drops it) must handle the frame instead.
-    if (port_ == nullptr) return false;
-    const auto view = parse_tagged_packet_frame(frame);
-    if (!view) return false;  // malformed: the generic path counts it
+  if (frame[0] == wire_type<TaggedPacket>) {
+    const auto packet = parse_tagged_packet_frame(frame);
+    if (!packet) return false;  // malformed: the generic path counts it
     ++msgs_since_report_;
-    apply_remote_event(view->entity, view->client, view->origin, view->target,
-                       view->radius_class, view->client_sent_at, view->kind);
+    // An unwired server has no Matrix to hear from: the packet is dropped.
+    if (port_ != nullptr) apply_remote_event(*packet);
     return true;
   }
-  if (frame[0] == kClientActionWireType) {
-    const auto view = parse_client_action_frame(frame);
-    if (!view) return false;
+  if (frame[0] == wire_type<ClientAction>) {
+    const auto action = parse_client_action_frame(frame);
+    if (!action) return false;  // malformed: the generic path counts it
     ++msgs_since_report_;
-    handle_action_core(view->client, view->kind, view->position, view->target,
-                       view->seq, view->sent_at, envelope);
+    handle_action(*action, envelope);
     return true;
   }
   return false;
@@ -563,8 +557,6 @@ void GameServer::on_message(const Message& message, const Envelope& envelope) {
 
   if (const auto* hello = std::get_if<ClientHello>(&message)) {
     handle_hello(*hello, envelope);
-  } else if (const auto* action = std::get_if<ClientAction>(&message)) {
-    handle_action(*action, envelope);
   } else if (const auto* bye = std::get_if<ClientBye>(&message)) {
     handle_bye(*bye);
   }
@@ -593,18 +585,9 @@ void GameServer::handle_hello(const ClientHello& hello,
                 hello.redirect_seq);
 }
 
-void GameServer::handle_action(const ClientAction& action,
+void GameServer::handle_action(const ClientActionView& action,
                                const Envelope& envelope) {
-  handle_action_core(action.client, action.kind, action.position,
-                     action.target, action.seq, action.sent_at, envelope);
-}
-
-void GameServer::handle_action_core(ClientId client, std::uint8_t kind_byte,
-                                    Vec2 position,
-                                    const std::optional<Vec2>& target,
-                                    std::uint32_t seq, SimTime sent_at,
-                                    const Envelope& envelope) {
-  auto it = sessions_.find(client);
+  auto it = sessions_.find(action.client);
   if (it == sessions_.end()) {
     // Client is mid-switch and this packet raced the redirect; its new home
     // will see the next one.
@@ -614,43 +597,45 @@ void GameServer::handle_action_core(ClientId client, std::uint8_t kind_byte,
   ++stats_.actions;
   Session& session = it->second;
   session.client_node = envelope.src;
-  session.position = position;
+  session.position = action.position;
 
-  const auto kind = static_cast<ActionKind>(kind_byte);
-  const std::uint8_t radius_class = radius_class_for(client);
+  const auto kind = static_cast<ActionKind>(action.kind);
+  const std::uint8_t radius_class = radius_class_for(action.client);
 
   // Tag with world coordinates and hand to Matrix — the single line of
   // integration the paper's API story hinges on.
   TaggedPacket packet;
-  packet.client = client;
+  packet.client = action.client;
   packet.entity = session.avatar;
-  packet.origin = position;
-  packet.target = target;
+  packet.origin = action.position;
+  packet.target = action.target;
   packet.radius_class = radius_class;
-  packet.kind = kind_byte;
-  packet.seq = seq;
-  packet.client_sent_at = sent_at;
+  packet.kind = action.kind;
+  packet.seq = action.seq;
+  packet.client_sent_at = action.sent_at;
   packet.payload.assign(spec_.payload_size(kind), 0);
   port_->send_packet(packet);
 
   // Immediate ack to the actor: this is the "response latency" the paper's
   // user study measures (action → observed reaction).
   ServerUpdate ack;
-  ack.kind = kind_byte;
-  ack.position = position;
-  ack.ack_seq = seq;
-  ack.origin_sent_at = sent_at;
+  ack.kind = action.kind;
+  ack.position = action.position;
+  ack.ack_seq = action.seq;
+  ack.origin_sent_at = action.sent_at;
   send(envelope.src, ack);
   ++stats_.acks_sent;
 
   // Everyone nearby sees the event at the next update tick.
-  push_pending({position, radius_for(radius_class), sent_at, kind_byte});
-  if (target && kind == ActionKind::kFire) {
+  push_pending({action.position, radius_for(radius_class), action.sent_at,
+                action.kind});
+  if (action.target && kind == ActionKind::kFire) {
     // Shots also matter where they land.
-    push_pending({*target, radius_for(radius_class), sent_at, kind_byte});
+    push_pending({*action.target, radius_for(radius_class), action.sent_at,
+                  action.kind});
   }
 
-  maybe_migrate(client, session);
+  maybe_migrate(action.client, session);
 }
 
 void GameServer::handle_bye(const ClientBye& bye) {
@@ -739,32 +724,22 @@ void GameServer::redirect_client(ClientId client, Session& session,
 // Matrix callbacks
 // ---------------------------------------------------------------------------
 
-void GameServer::handle_remote_packet(const TaggedPacket& packet) {
-  apply_remote_event(packet.entity, packet.client, packet.origin,
-                     packet.target, packet.radius_class,
-                     packet.client_sent_at, packet.kind);
-}
-
-void GameServer::apply_remote_event(EntityId entity, ClientId client,
-                                    Vec2 origin,
-                                    const std::optional<Vec2>& target,
-                                    std::uint8_t radius_class, SimTime sent_at,
-                                    std::uint8_t kind) {
+void GameServer::apply_remote_event(const TaggedPacketView& packet) {
   ++stats_.remote_events;
   // Maintain a ghost replica of the remote avatar so local players "see"
   // across the partition boundary — the localized consistency the paper's
   // overlap regions exist to provide.
-  Entity& ghost = ghosts_.upsert(entity);
+  Entity& ghost = ghosts_.upsert(packet.entity);
   ghost.kind = EntityKind::kGhost;
-  ghost.position = origin;
-  ghost.owner = client;
+  ghost.position = packet.origin;
+  ghost.owner = packet.client;
 
-  const double radius = radius_for(radius_class);
-  push_pending({origin, radius, sent_at, kind});
-  if (target && authority_.contains(*target)) {
+  const double radius = radius_for(packet.radius_class);
+  push_pending({packet.origin, radius, packet.client_sent_at, packet.kind});
+  if (packet.target && authority_.contains(*packet.target)) {
     // Non-proximal interaction landing in our range (teleport arrival,
     // remote shot impact).
-    push_pending({*target, radius, sent_at, kind});
+    push_pending({*packet.target, radius, packet.client_sent_at, packet.kind});
   }
 }
 

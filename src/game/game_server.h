@@ -156,10 +156,11 @@ class GameServer : public ProtocolNode {
 
  protected:
   void on_message(const Message& message, const Envelope& envelope) override;
-  /// Frame fast path: forwarded TaggedPackets and ClientActions — the two
-  /// per-message hot paths — are handled from zero-copy partial parses,
-  /// skipping the Message-variant decode (neither consumes the payload
-  /// bytes: remote events update ghosts, actions re-tag a fresh payload).
+  /// Frame fast path, and the only handler of forwarded TaggedPackets and
+  /// ClientActions — the two per-message hot paths — from zero-copy views
+  /// (neither consumes the payload bytes: remote events update ghosts,
+  /// actions re-tag a fresh payload).  A frame the view rejects is
+  /// malformed for decode_message too, so on_message never sees either.
   bool on_frame(const Envelope& envelope) override;
 
  private:
@@ -172,19 +173,11 @@ class GameServer : public ProtocolNode {
 
   // client traffic
   void handle_hello(const ClientHello& hello, const Envelope& envelope);
-  void handle_action(const ClientAction& action, const Envelope& envelope);
-  void handle_action_core(ClientId client, std::uint8_t kind_byte,
-                          Vec2 position, const std::optional<Vec2>& target,
-                          std::uint32_t seq, SimTime sent_at,
-                          const Envelope& envelope);
+  void handle_action(const ClientActionView& action, const Envelope& envelope);
   void handle_bye(const ClientBye& bye);
 
   // Matrix callbacks
-  void handle_remote_packet(const TaggedPacket& packet);
-  void apply_remote_event(EntityId entity, ClientId client, Vec2 origin,
-                          const std::optional<Vec2>& target,
-                          std::uint8_t radius_class, SimTime sent_at,
-                          std::uint8_t kind);
+  void apply_remote_event(const TaggedPacketView& packet);
   void handle_map_range(const MapRange& range);
   void handle_state_transfer(const StateTransfer& transfer);
   void handle_client_state(const ClientStateTransfer& transfer);

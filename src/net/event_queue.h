@@ -5,30 +5,25 @@
 // and scenario actions (hotspot arrival at t=10s, ...).  The sequence number
 // breaks time ties in insertion order, which makes runs fully deterministic.
 //
-// Two interchangeable priority structures sit behind one surface:
+// The priority structure is a two-tier calendar/ladder queue.  A NEAR tier
+// (a small 4-ary heap, restricted to events inside the currently loaded
+// bucket's time range) is backed by a ring of time buckets, spilling to an
+// OVERFLOW tier for events past the ring.  Scheduling into a bucket or the
+// overflow is an O(1) push_back; the log factor only ever applies to one
+// bucket's occupancy, not the whole pending set.  Bucket width is derived
+// from the observed inter-event spacing of the overflow population and
+// re-tuned only at ring reseed epochs — there is no per-operation rehash.  A
+// bucket that comes up for folding overfull (dense workloads cluster events
+// in time) is first split across a finer-grained sub-rung — one O(n)
+// re-file, the ladder-queue "spawn a rung" move — so the near heap stays
+// small even when one bucket's range holds thousands of events.
 //
-//   * kHeap — the historical 4-ary array heap over 16-byte POD entries.
-//     O(log n) per schedule/pop on the full pending set.
-//   * kLadder (default) — a two-tier calendar/ladder queue.  A NEAR tier
-//     (the same small 4-ary heap, restricted to events inside the currently
-//     loaded bucket's time range) backed by a ring of time buckets, spilling
-//     to an OVERFLOW tier for events past the ring.  Scheduling into a
-//     bucket or the overflow is an O(1) push_back; the log factor only ever
-//     applies to one bucket's occupancy, not the whole pending set.  Bucket
-//     width is derived from the observed inter-event spacing of the overflow
-//     population and re-tuned only at ring reseed epochs — there is no
-//     per-operation rehash.  A bucket that comes up for folding overfull
-//     (dense workloads cluster events in time) is first split across a
-//     finer-grained sub-rung — one O(n) re-file, the ladder-queue "spawn a
-//     rung" move — so the near heap stays small even when one bucket's
-//     range holds thousands of events.
-//
-// Pop order is IDENTICAL across both structures: every event with
-// when < near_end_ lives in the near heap (inserts are routed by time, and a
-// bucket's whole range is folded into the near heap before any of it can
-// pop), so the near-heap minimum is always the global (when, seq) minimum.
-// The golden trace hashes therefore cannot tell the schedulers apart —
-// tests/scheduler_test.cpp pins this with a randomized differential test.
+// Pop order is the exact (when, seq) order of a plain priority queue: every
+// event with when < near_end_ lives in the near heap (inserts are routed by
+// time, and a bucket's whole range is folded into the near heap before any
+// of it can pop), so the near-heap minimum is always the global (when, seq)
+// minimum.  tests/scheduler_test.cpp pins this with a randomized
+// differential test against a reference 4-ary heap.
 //
 // Hot-path layout: tier entries are 16-byte PODs (when + a packed seq/slot
 // word) — sift and bucket moves are trivial copies.  The callbacks live in a
@@ -58,11 +53,6 @@ class EventQueue {
   using Tag = std::uint64_t;
   static constexpr Tag kNoTag = 0;
 
-  /// Which priority structure orders the pending set.  Pop order — and thus
-  /// every golden trace — is identical for both; kHeap exists as the A/B
-  /// reference and fallback (MATRIX_EVENT_SCHEDULER, Config::engine).
-  enum class Scheduler : std::uint8_t { kLadder = 0, kHeap = 1 };
-
   /// One extracted pending event (see extract_tagged): its absolute time,
   /// its (seq) order word for deterministic re-insertion order, and the
   /// callback moved out of the slab.
@@ -71,14 +61,6 @@ class EventQueue {
     std::uint64_t order = 0;
     Action action;
   };
-
-  /// Selects the priority structure.  Only callable while the queue is
-  /// empty: entries are not re-filed across structures.
-  void set_scheduler(Scheduler scheduler) {
-    assert(pending() == 0 && "set_scheduler requires an empty queue");
-    scheduler_ = scheduler;
-  }
-  [[nodiscard]] Scheduler scheduler() const { return scheduler_; }
 
   /// Schedules `action` to run at absolute time `when`.  Scheduling in the
   /// past is clamped to "now" (runs next, still after already-queued events
@@ -277,10 +259,9 @@ class EventQueue {
   /// Routes a new entry to its tier.  Near events (when < near_end_, the
   /// exclusive top of the range already folded into the near heap) take the
   /// heap; events in the active sub-rung's remaining range or the ring take
-  /// an O(1) bucket push; the far future takes the overflow.  kHeap mode
-  /// degenerates to "everything is near".
+  /// an O(1) bucket push; the far future takes the overflow.
   void file_entry(HeapEntry entry) {
-    if (scheduler_ == Scheduler::kHeap || entry.when < near_end_) {
+    if (entry.when < near_end_) {
       heap_push(entry);
       return;
     }
@@ -470,9 +451,7 @@ class EventQueue {
     }
   }
 
-  // Near tier: 4-ary min-heap.  kLadder restricts it to events with
-  // when < near_end_; kHeap keeps everything here (near_end_ stays 0 and
-  // every `when` routes to it via the scheduler_ check).
+  // Near tier: 4-ary min-heap over the events with when < near_end_.
   std::vector<HeapEntry> heap_;
   // Ring tier: kBuckets buckets of width width_ starting at ring_start_;
   // buckets below cur_bucket_ are forever empty (their range is < near_end_).
@@ -504,7 +483,6 @@ class EventQueue {
   std::deque<Action> slots_;
   std::deque<Tag> slot_tags_;
   std::vector<std::uint32_t> free_slots_;
-  Scheduler scheduler_ = Scheduler::kLadder;
   SimTime now_{};
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;

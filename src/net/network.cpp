@@ -45,25 +45,11 @@ bool resolve_shard_threads(bool config_default) {
   return true;
 }
 
-bool resolve_ladder_scheduler(bool config_default) {
-  const char* env = std::getenv("MATRIX_EVENT_SCHEDULER");
-  if (env == nullptr || *env == '\0') return config_default;
-  const std::string value(env);
-  if (value == "heap" || value == "0" || value == "off" || value == "false") {
-    return false;
-  }
-  return true;
-}
-
 Network::Network(std::uint64_t seed) : seed_(seed) {
   // Shard 0 seeds exactly like the historical serial engine, so one-shard
   // runs draw the identical RNG stream.
   shards_.push_back(std::make_unique<Shard>(0, seed ^ kRngSalt));
   shards_.front()->outbox.resize(1);
-  scheduler_ = resolve_ladder_scheduler(true) ? EventQueue::Scheduler::kLadder
-                                              : EventQueue::Scheduler::kHeap;
-  shards_.front()->events.set_scheduler(scheduler_);
-  control_queue_.set_scheduler(scheduler_);
   // Sim-time-stamp all log output while this network lives (last network
   // constructed wins; owner matching in clear_clock keeps interleaved
   // lifetimes safe).
@@ -92,20 +78,11 @@ void Network::configure_shards(std::size_t count, bool use_threads) {
         static_cast<std::uint32_t>(i),
         i == 0 ? base : base + kShardSeedStride * static_cast<std::uint64_t>(i)));
   }
-  for (auto& shard : shards_) {
-    shard->outbox.resize(count);
-    shard->events.set_scheduler(scheduler_);
-  }
+  for (auto& shard : shards_) shard->outbox.resize(count);
   use_threads_ = count > 1 && resolve_shard_threads(use_threads);
   if (tracer_.enabled() && sharded()) {
     for (auto& shard : shards_) shard->tracer.defer_like(tracer_);
   }
-}
-
-void Network::set_scheduler(EventQueue::Scheduler scheduler) {
-  scheduler_ = scheduler;
-  for (auto& shard : shards_) shard->events.set_scheduler(scheduler);
-  control_queue_.set_scheduler(scheduler);
 }
 
 void Network::set_rebalance(double threshold, std::uint64_t interval_events) {

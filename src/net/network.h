@@ -125,13 +125,6 @@ struct LinkStats {
 /// keeps `config_default`).  Same pattern as MATRIX_LOAD_POLICY.
 [[nodiscard]] bool resolve_shard_threads(bool config_default);
 
-/// Process-level default for EngineConfig::ladder_scheduler: reads the
-/// MATRIX_EVENT_SCHEDULER environment variable once ("heap"/"0"/"off"
-/// forces the reference 4-ary heap, "ladder"/"1"/"on" forces the calendar
-/// queue, unset keeps `config_default`).  Pop order is identical either way
-/// — the knob exists for A/B benchmarking and as a fallback.
-[[nodiscard]] bool resolve_ladder_scheduler(bool config_default);
-
 /// Tag-stamping façade over a node's owner-shard EventQueue (see
 /// Network::events_for): every event scheduled through it carries the
 /// node's id, so shard rebalancing can extract and re-home the node's
@@ -185,13 +178,6 @@ class Network {
   /// Conservative lookahead: min latency over the default link and every
   /// cross-shard override, floored at 1µs.
   [[nodiscard]] SimTime lookahead() const { return lookahead_; }
-
-  /// Selects the event-queue priority structure (ladder calendar queue vs
-  /// the reference 4-ary heap) for every shard queue and the control queue.
-  /// Pop order — and every golden hash — is identical for both.  Only
-  /// callable while no event is pending; Deployment calls it right after
-  /// configure_shards from Config::engine.ladder_scheduler.
-  void set_scheduler(EventQueue::Scheduler scheduler);
 
   // ---- shard load rebalancing ---------------------------------------------
 
@@ -493,7 +479,6 @@ class Network {
   SimTime lookahead_ = SimTime::from_us(1);
   bool lookahead_seeded_ = false;
   bool use_threads_ = true;
-  EventQueue::Scheduler scheduler_ = EventQueue::Scheduler::kLadder;
   std::uint64_t seed_ = 0;
   std::uint64_t windows_ = 0;
   /// Total wall-clock µs spent inside threaded window dispatches (control

@@ -48,10 +48,6 @@ Deployment::Deployment(DeploymentOptions options)
   // node attaches — configure_shards requires an empty network.
   network_.configure_shards(std::max<std::size_t>(1, options_.config.engine.shards),
                             options_.config.engine.threads);
-  network_.set_scheduler(
-      resolve_ladder_scheduler(options_.config.engine.ladder_scheduler)
-          ? EventQueue::Scheduler::kLadder
-          : EventQueue::Scheduler::kHeap);
   if (options_.config.engine.rebalance_threshold > 0.0) {
     network_.set_rebalance(options_.config.engine.rebalance_threshold,
                            options_.config.engine.rebalance_interval_events);

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "util/ids.h"
-#include "util/payload_bytes.h"
 
 namespace matrix {
 
@@ -35,9 +34,8 @@ class ByteWriter {
     buf_.clear();
   }
 
-  /// Pre-sizes the buffer (the size-hinted encode paths in core/protocol
-  /// use this so common messages encode without reallocation even on a
-  /// fresh buffer).
+  /// Pre-sizes the buffer (core/protocol reserves each message's exact
+  /// encoded size, so no message reallocates even on a fresh buffer).
   void reserve(std::size_t bytes) { buf_.reserve(bytes); }
 
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return buf_; }
@@ -107,9 +105,6 @@ class ByteReader {
   [[nodiscard]] bool ok() const { return ok_; }
   [[nodiscard]] bool at_end() const { return pos_ == bytes_.size(); }
   [[nodiscard]] std::size_t remaining() const { return bytes_.size() - pos_; }
-  /// Current read offset — lets frame parsers record field positions
-  /// (e.g. the peer-forwarded flag a raw relay flips in place).
-  [[nodiscard]] std::size_t pos() const { return pos_; }
 
   /// Like raw(), but returns a view into the underlying buffer instead of
   /// copying — for the zero-copy frame fast paths.
@@ -167,16 +162,6 @@ class ByteReader {
     if (!check(n)) return {};
     std::vector<std::uint8_t> out(bytes_.begin() + static_cast<std::ptrdiff_t>(pos_),
                                   bytes_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-    pos_ += n;
-    return out;
-  }
-
-  /// Like raw(), but into the inline PayloadBytes container — no heap
-  /// allocation for typical game payload sizes.
-  PayloadBytes raw_payload() {
-    const std::uint64_t n = varint();
-    if (!check(n)) return {};
-    PayloadBytes out(bytes_.data() + pos_, n);
     pos_ += n;
     return out;
   }

@@ -132,7 +132,7 @@ TEST_F(CoordinatorTest, TableContentsMatchDirectComputation) {
     ASSERT_EQ(table.regions.size(), direct.size());
     for (std::size_t i = 0; i < direct.size(); ++i) {
       EXPECT_EQ(table.regions[i].rect, direct[i].rect);
-      EXPECT_EQ(table.regions[i].peer_servers, direct[i].peer_servers);
+      EXPECT_EQ(table.regions[i].peers, direct[i].peers);
     }
   }
 }

@@ -185,25 +185,6 @@ TEST(DeterminismTest, TracingEnabledIsPassive) {
       << "Tracing perturbed the run: the obs layer must be passive.";
 }
 
-TEST(DeterminismTest, HeapSchedulerMatchesGoldenTrace) {
-  // The retained 4-ary-heap scheduler (Config::engine.ladder_scheduler =
-  // false, the A/B reference for the ladder/calendar queue) must reproduce
-  // the SAME golden hash as the default ladder: pop order is the (time,
-  // sequence) total order under both structures, so the priority structure
-  // is invisible to every trace.  tests/scheduler_test.cpp pins the order
-  // equivalence directly; this pins it end-to-end through a full scenario.
-  DeploymentOptions options = golden_overload_options();
-  options.config.engine.ladder_scheduler = false;
-  OverloadScenarioOptions scenario;
-  const std::uint64_t hash =
-      trace_hash_of(std::move(options), scenario.duration, [&](Deployment& d) {
-        schedule_overload_scenario(d, scenario);
-      });
-  EXPECT_EQ(hash, kGoldenOverload)
-      << "Heap-scheduler trace diverged from the ladder's golden hash: the "
-         "two priority structures no longer pop in the same order.";
-}
-
 TEST(DeterminismTest, ShardedOverloadScenarioMatchesPinnedHash) {
   // K=4, worker threads on: the conservative engine's interleaving is pinned
   // the same way the serial engine's is.  Threads are an execution detail —

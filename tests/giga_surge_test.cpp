@@ -38,7 +38,10 @@ TEST(GigaSurgeTest, HundredThousandClientsAcrossFourShards) {
 
   const Network::EngineStats engine = net.engine_stats();
   EXPECT_GT(engine.events_processed, 4'000'000u);
-  // ≥100k pending events at the crest: every bot keeps an action timer.
+  // event_peak_pending is the busiest SHARD's queue depth, not the total:
+  // every bot keeps an action timer, but the crowd's timers are split over
+  // four queues.  Measured peak: 55,796 on the busiest shard; the bound
+  // below asserts at least 25k.
   EXPECT_GE(engine.event_peak_pending, 25'000u);
   // The parallel machinery engaged: windows barriered, mail crossed shards.
   EXPECT_GT(engine.windows, 1'000u);

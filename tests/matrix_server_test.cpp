@@ -503,7 +503,7 @@ TEST_F(RoutingTest, LookupAgreesWithConsistencyScan) {
     const auto truth = consistency_set_scan(map, p, 50.0, Metric::kChebyshev);
     const OverlapRegionWire* region = server(0).lookup(p);
     const std::size_t table_size =
-        region != nullptr ? region->peer_servers.size() : 0;
+        region != nullptr ? region->peers.size() : 0;
     EXPECT_EQ(table_size, truth.size()) << "at " << p;
   }
 }

@@ -87,16 +87,16 @@ TEST(OverlapTest, TwoPartitionsProduceBoundaryStrip) {
   ASSERT_EQ(regions.size(), 1u);
   // Points of P1 within 10 of P2 = x ∈ [40, 50).
   EXPECT_EQ(regions[0].rect, Rect(40, 0, 50, 100));
-  EXPECT_EQ(regions[0].peer_servers, std::vector<ServerId>{ServerId(2)});
-  EXPECT_EQ(regions[0].peer_matrix_nodes, std::vector<NodeId>{NodeId(101)});
+  EXPECT_EQ(regions[0].peers,
+            (std::vector<OverlapPeer>{{ServerId(2), NodeId(101)}}));
 }
 
 TEST(OverlapTest, OwnerExcludedFromItsOwnRegions) {
   const auto map = make_map({Rect(0, 0, 50, 100), Rect(50, 0, 100, 100)});
   for (const auto& region :
        build_overlap_regions(map, ServerId(2), 10.0, Metric::kChebyshev)) {
-    for (ServerId peer : region.peer_servers) {
-      EXPECT_NE(peer, ServerId(2));
+    for (const OverlapPeer& peer : region.peers) {
+      EXPECT_NE(peer.server, ServerId(2));
     }
   }
 }
@@ -113,7 +113,7 @@ TEST(OverlapTest, CornerPointSeesThreePeers) {
     if (region.rect.contains({49.0, 49.0})) corner = &region;
   }
   ASSERT_NE(corner, nullptr);
-  EXPECT_EQ(corner->peer_servers.size(), 3u);
+  EXPECT_EQ(corner->peers.size(), 3u);
 }
 
 TEST(OverlapTest, ZeroRadiusYieldsNoRegions) {
@@ -202,7 +202,9 @@ TEST_P(OverlapPropertyTest, TableMatchesGroundTruth) {
       }
       std::set<std::uint64_t> got;
       if (const OverlapRegionWire* region = index.find(p)) {
-        for (ServerId s : region->peer_servers) got.insert(s.value());
+        for (const OverlapPeer& peer : region->peers) {
+          got.insert(peer.server.value());
+        }
       }
       EXPECT_EQ(got, expected)
           << "at " << p << " radius " << radius << " in " << entry.range;
@@ -238,7 +240,9 @@ TEST_P(OverlapPropertyTest, EuclideanTableIsConservative) {
       }
       std::set<std::uint64_t> table;
       if (const OverlapRegionWire* region = index.find(p)) {
-        for (ServerId s : region->peer_servers) table.insert(s.value());
+        for (const OverlapPeer& peer : region->peers) {
+          table.insert(peer.server.value());
+        }
       }
       // Conservative: table ⊇ truth (no consistency violations; possibly
       // some wasted bandwidth — docs/ARCHITECTURE.md, "Reproduction substitutions").
@@ -266,8 +270,7 @@ TEST(RegionIndexTest, EmptyIndexFindsNothing) {
 TEST(RegionIndexTest, PointOutsidePartitionIsNull) {
   OverlapRegionWire region;
   region.rect = Rect(0, 0, 10, 10);
-  region.peer_servers = {ServerId(2)};
-  region.peer_matrix_nodes = {NodeId(3)};
+  region.peers = {{ServerId(2), NodeId(3)}};
   const RegionIndex index(Rect(0, 0, 10, 10), {region});
   EXPECT_NE(index.find({5, 5}), nullptr);
   EXPECT_EQ(index.find({15, 5}), nullptr);
@@ -296,7 +299,7 @@ TEST(RegionIndexTest, MatchesLinearScanOnRandomRegions) {
     ASSERT_EQ(indexed != nullptr, linear != nullptr) << "at " << p;
     if (linear != nullptr) {
       EXPECT_EQ(indexed->rect, linear->rect) << "at " << p;
-      EXPECT_EQ(indexed->peer_servers, linear->peer_servers) << "at " << p;
+      EXPECT_EQ(indexed->peers, linear->peers) << "at " << p;
     }
   }
 }

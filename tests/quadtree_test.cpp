@@ -39,8 +39,7 @@ TEST(QuadtreeIndexTest, EmptyIndex) {
 TEST(QuadtreeIndexTest, SingleRegion) {
   OverlapRegionWire region;
   region.rect = Rect(0, 0, 50, 100);
-  region.peer_servers = {ServerId(2)};
-  region.peer_matrix_nodes = {NodeId(3)};
+  region.peers = {{ServerId(2), NodeId(3)}};
   const QuadtreeIndex index(Rect(0, 0, 100, 100), {region});
   EXPECT_NE(index.find({25, 50}), nullptr);
   EXPECT_EQ(index.find({75, 50}), nullptr);   // inside partition, no region
@@ -66,7 +65,7 @@ TEST_P(QuadtreeAgreementTest, AgreesWithGridIndexEverywhere) {
     ASSERT_EQ(a != nullptr, b != nullptr) << "at " << p;
     if (a != nullptr) {
       EXPECT_EQ(a->rect, b->rect) << "at " << p;
-      EXPECT_EQ(a->peer_servers, b->peer_servers) << "at " << p;
+      EXPECT_EQ(a->peers, b->peers) << "at " << p;
     }
   }
 }
@@ -81,8 +80,8 @@ TEST(QuadtreeIndexTest, DepthBoundRespected) {
   for (int i = 0; i < 64; ++i) {
     OverlapRegionWire region;
     region.rect = Rect(0, i * 1.5, 100, i * 1.5 + 1.4);
-    region.peer_servers = {ServerId(static_cast<std::uint64_t>(i + 2))};
-    region.peer_matrix_nodes = {NodeId(static_cast<std::uint64_t>(i + 2))};
+    const auto peer = static_cast<std::uint64_t>(i + 2);
+    region.peers = {{ServerId(peer), NodeId(peer)}};
     regions.push_back(region);
   }
   const QuadtreeIndex tree(Rect(0, 0, 100, 100), regions, 2, 5);

@@ -1,14 +1,15 @@
-// Differential test of the two EventQueue priority structures
-// (net/event_queue.h): the ladder/calendar queue must pop events in an order
-// BIT-IDENTICAL to the reference 4-ary heap — same (when, seq) total order,
-// regardless of how inserts were routed across the near/ring/overflow tiers.
-// The golden trace hashes in tests/determinism_test.cpp depend on this; here
-// we pin it directly with randomized schedules that exercise every tier
-// transition (near inserts, bucket folds, ring reseeds, width re-derivation,
-// overflow spill, past-time clamping, re-entrant scheduling from callbacks).
+// Differential test of the EventQueue ladder/calendar scheduler
+// (net/event_queue.h): it must pop events in an order BIT-IDENTICAL to a
+// reference 4-ary heap — same (when, seq) total order, regardless of how
+// inserts were routed across the near/ring/overflow tiers.  The golden trace
+// hashes in tests/determinism_test.cpp depend on this; here we pin it
+// directly with randomized schedules that exercise every tier transition
+// (near inserts, bucket folds, ring reseeds, width re-derivation, overflow
+// spill, past-time clamping, re-entrant scheduling from callbacks).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -20,6 +21,77 @@ namespace matrix {
 namespace {
 
 using namespace time_literals;
+
+/// The oracle: a plain 4-ary min-heap over (when, seq) with the same
+/// scheduling surface the differential test drives — the structure the
+/// ladder's pop order must reproduce exactly.
+class ReferenceHeap {
+ public:
+  void schedule_at(SimTime when, std::function<void()> action) {
+    if (when < now_) when = now_;
+    heap_.push_back(Entry{when, next_seq_++, std::move(action)});
+    std::size_t i = heap_.size() - 1;
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / kArity;
+      if (!before(heap_[i], heap_[parent])) break;
+      std::swap(heap_[i], heap_[parent]);
+      i = parent;
+    }
+  }
+  void schedule_after(SimTime delay, std::function<void()> action) {
+    schedule_at(now_ + delay, std::move(action));
+  }
+  bool step() {
+    if (heap_.empty()) return false;
+    std::swap(heap_.front(), heap_.back());
+    Entry top = std::move(heap_.back());
+    heap_.pop_back();
+    std::size_t i = 0;
+    while (true) {
+      std::size_t best = i;
+      for (std::size_t c = i * kArity + 1; c <= i * kArity + kArity; ++c) {
+        if (c < heap_.size() && before(heap_[c], heap_[best])) best = c;
+      }
+      if (best == i) break;
+      std::swap(heap_[i], heap_[best]);
+      i = best;
+    }
+    now_ = top.when;
+    ++events_processed_;
+    top.action();
+    return true;
+  }
+  void run_until(SimTime until) {
+    while (!heap_.empty() && heap_.front().when <= until) step();
+    if (now_ < until) now_ = until;
+  }
+  void run_all() {
+    while (step()) {
+    }
+  }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
+  [[nodiscard]] SimTime now() const { return now_; }
+  [[nodiscard]] std::uint64_t events_processed() const {
+    return events_processed_;
+  }
+
+ private:
+  static constexpr std::size_t kArity = 4;
+  struct Entry {
+    SimTime when;
+    std::uint64_t seq;
+    std::function<void()> action;
+  };
+  static bool before(const Entry& a, const Entry& b) {
+    if (a.when != b.when) return a.when < b.when;
+    return a.seq < b.seq;
+  }
+  std::vector<Entry> heap_;
+  SimTime now_{};
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t events_processed_ = 0;
+};
 
 /// Execution log: (execution time, marker) per event, in pop order.
 using Log = std::vector<std::pair<std::int64_t, std::uint64_t>>;
@@ -58,8 +130,9 @@ SimTime draw_when(Rng& rng, SimTime now) {
 
 /// Runs one randomized schedule/pop interleaving against `queue` and returns
 /// the execution log.  The op stream depends only on `seed`, never on the
-/// queue's internals, so both schedulers see the identical request sequence.
-Log run_schedule(EventQueue& queue, std::uint64_t seed, int ops) {
+/// queue's internals, so both queues see the identical request sequence.
+template <typename Queue>
+Log run_schedule(Queue& queue, std::uint64_t seed, int ops) {
   Rng rng(seed);
   Log log;
   std::uint64_t marker = 0;
@@ -103,10 +176,8 @@ TEST(SchedulerTest, LadderMatchesHeapPopOrder) {
   // >= 20 seeds x 10k mixed ops: the ladder must produce the exact event
   // sequence of the reference heap — same times AND same tie-break order.
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
-    EventQueue heap;
-    heap.set_scheduler(EventQueue::Scheduler::kHeap);
+    ReferenceHeap heap;
     EventQueue ladder;
-    ladder.set_scheduler(EventQueue::Scheduler::kLadder);
     const Log expected = run_schedule(heap, seed, 10'000);
     const Log actual = run_schedule(ladder, seed, 10'000);
     ASSERT_EQ(expected, actual) << "seed " << seed;
@@ -116,18 +187,14 @@ TEST(SchedulerTest, LadderMatchesHeapPopOrder) {
 }
 
 TEST(SchedulerTest, SameInstantEventsPopInScheduleOrder) {
-  for (const auto scheduler :
-       {EventQueue::Scheduler::kHeap, EventQueue::Scheduler::kLadder}) {
-    EventQueue queue;
-    queue.set_scheduler(scheduler);
-    std::vector<int> order;
-    for (int i = 0; i < 64; ++i) {
-      queue.schedule_at(5_ms, [&order, i] { order.push_back(i); });
-    }
-    queue.run_all();
-    ASSERT_EQ(order.size(), 64u);
-    for (int i = 0; i < 64; ++i) EXPECT_EQ(order[i], i);
+  EventQueue queue;
+  std::vector<int> order;
+  for (int i = 0; i < 64; ++i) {
+    queue.schedule_at(5_ms, [&order, i] { order.push_back(i); });
   }
+  queue.run_all();
+  ASSERT_EQ(order.size(), 64u);
+  for (int i = 0; i < 64; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(SchedulerTest, PastTimesClampToNowAfterQueuedPeers) {
@@ -202,20 +269,16 @@ TEST(SchedulerTest, ExtractTaggedRemovesOnlyMatchingEvents) {
 TEST(SchedulerTest, ReentrantGrowthKeepsSlabStable) {
   // A callback scheduling thousands of events while running forces slab
   // growth mid-invoke; the deque keeps the running slot stable.
-  for (const auto scheduler :
-       {EventQueue::Scheduler::kHeap, EventQueue::Scheduler::kLadder}) {
-    EventQueue queue;
-    queue.set_scheduler(scheduler);
-    int executed = 0;
-    queue.schedule_at(1_us, [&] {
-      for (int i = 0; i < 5'000; ++i) {
-        queue.schedule_after(SimTime::from_us(i % 97), [&] { ++executed; });
-      }
-    });
-    queue.run_all();
-    EXPECT_EQ(executed, 5'000);
-    EXPECT_GE(queue.peak_pending(), 5'000u);
-  }
+  EventQueue queue;
+  int executed = 0;
+  queue.schedule_at(1_us, [&] {
+    for (int i = 0; i < 5'000; ++i) {
+      queue.schedule_after(SimTime::from_us(i % 97), [&] { ++executed; });
+    }
+  });
+  queue.run_all();
+  EXPECT_EQ(executed, 5'000);
+  EXPECT_GE(queue.peak_pending(), 5'000u);
 }
 
 }  // namespace

@@ -106,7 +106,7 @@ TEST_P(TopologyChurnTest, InvariantsHoldUnderRandomChurn) {
       const auto truth =
           consistency_set_scan(map, p, 40.0, Metric::kChebyshev);
       const OverlapRegionWire* region = server.lookup(p);
-      const std::size_t got = region ? region->peer_servers.size() : 0;
+      const std::size_t got = region ? region->peers.size() : 0;
       EXPECT_EQ(got, truth.size())
           << "seed " << GetParam() << " at " << p << " on " << server.name();
     }

@@ -3,8 +3,8 @@
 //
 //   matrix_sweep ./build/bench_surge_queue ++ ./build/bench_policy_grants
 //   matrix_sweep --jobs 4 --repeat 3 ./build/bench_overload_admission
-//   matrix_sweep --out sweep.json ./build/matrix_fuzz --count 5 ++ \
-//                ./build/matrix_fuzz --start-seed 100 --count 5
+//   matrix_sweep --out sweep.json ./build/matrix_fuzz --count 5 ++
+//                ./build/matrix_fuzz --start-seed 100 --count 5  (one line)
 //
 // Runs the given commands concurrently as child processes (fork/exec) and
 // aggregates their `--json` reports into one matrix_bench_json document —
